@@ -1,19 +1,12 @@
-//! Micro-benchmarks of the graph generators.
+//! Micro-benchmarks of the graph generators on the standard sweep families.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sleepy_graph::GraphFamily;
 
 fn graphgen(c: &mut Criterion) {
     let n = 1 << 14;
     let mut group = c.benchmark_group("graphgen");
     group.throughput(Throughput::Elements(n as u64));
-    for fam in [
-        GraphFamily::GnpAvgDeg(8.0),
-        GraphFamily::RandomRegular(4),
-        GraphFamily::GeometricAvgDeg(8.0),
-        GraphFamily::BarabasiAlbert(3),
-        GraphFamily::Tree,
-    ] {
+    for fam in sleepy_fleet::standard_families() {
         group.bench_with_input(BenchmarkId::new("generate", fam.label()), &fam, |b, fam| {
             b.iter(|| fam.generate(n, 9).expect("generates"))
         });

@@ -38,39 +38,78 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Result<Graph, Graph
     if n == 0 || radius == 0.0 {
         return Graph::from_edges(n, []);
     }
+    Graph::from_edges(n, close_pairs(pts, radius))
+}
+
+/// Every pair of `pts` at Euclidean distance at most `radius`, each once.
+/// Its scratch arrays are freed before the caller builds the CSR.
+fn close_pairs(pts: Vec<(f64, f64)>, radius: f64) -> Vec<(NodeId, NodeId)> {
+    let n = pts.len();
     // Bucket grid with cell width >= radius: all neighbors of a point lie in
-    // its own or the 8 adjacent cells.
-    let cells = (1.0 / radius).floor().max(1.0) as usize;
-    let cell_of = |x: f64| ((x * cells as f64) as usize).min(cells - 1);
-    let mut grid: Vec<Vec<NodeId>> = vec![Vec::new(); cells * cells];
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        grid[cell_of(y) * cells + cell_of(x)].push(i as NodeId);
+    // its own or the 8 adjacent cells. At most about n cells, so a tiny
+    // radius cannot blow up the grid.
+    let cells = ((1.0 / radius).floor() as usize).clamp(1, n.isqrt().max(1));
+    let cell_of = |(x, y): (f64, f64)| {
+        let axis = |t: f64| ((t * cells as f64) as usize).min(cells - 1);
+        axis(y) * cells + axis(x)
+    };
+    // Counting-sort the points by cell into flat arrays, so cell `c` holds
+    // `ids[start[c]..start[c + 1]]` and their coordinates in `xy`.
+    let mut start = vec![0usize; cells * cells + 1];
+    for &p in &pts {
+        start[cell_of(p)] += 1;
     }
+    let mut acc = 0usize;
+    for slot in &mut start[..cells * cells] {
+        acc += *slot;
+        *slot = acc;
+    }
+    start[cells * cells] = n;
+    let mut ids = vec![0 as NodeId; n];
+    let mut xy = vec![(0.0, 0.0); n];
+    for (i, &p) in pts.iter().enumerate().rev() {
+        let c = cell_of(p);
+        start[c] -= 1;
+        ids[start[c]] = i as NodeId;
+        xy[start[c]] = p;
+    }
+    drop(pts);
+    // Test each unordered pair of points once: a cell against itself, then
+    // against its four forward neighbors (east, and the three cells of the
+    // next row). `ddx`/`ddy` may have either sign; their squares do not.
     let r2 = radius * radius;
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        let (cx, cy) = (cell_of(x), cell_of(y));
-        for dy in -1i64..=1 {
-            for dx in -1i64..=1 {
-                let nx = cx as i64 + dx;
-                let ny = cy as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= cells as i64 || ny >= cells as i64 {
+    for cy in 0..cells {
+        for cx in 0..cells {
+            let a = start[cy * cells + cx]..start[cy * cells + cx + 1];
+            for i in a.clone() {
+                let (x, y) = xy[i];
+                for j in i + 1..a.end {
+                    let (ddx, ddy) = (xy[j].0 - x, xy[j].1 - y);
+                    if ddx * ddx + ddy * ddy <= r2 {
+                        edges.push((ids[i], ids[j]));
+                    }
+                }
+            }
+            for (dx, dy) in [(1, 0), (-1, 1), (0, 1), (1, 1)] {
+                let (nx, ny) = (cx as i64 + dx, cy as i64 + dy);
+                if nx < 0 || nx >= cells as i64 || ny >= cells as i64 {
                     continue;
                 }
-                for &j in &grid[ny as usize * cells + nx as usize] {
-                    if (j as usize) <= i {
-                        continue;
-                    }
-                    let (px, py) = pts[j as usize];
-                    let (ddx, ddy) = (px - x, py - y);
-                    if ddx * ddx + ddy * ddy <= r2 {
-                        edges.push((i as NodeId, j));
+                let c = ny as usize * cells + nx as usize;
+                for i in a.clone() {
+                    let (x, y) = xy[i];
+                    for j in start[c]..start[c + 1] {
+                        let (ddx, ddy) = (xy[j].0 - x, xy[j].1 - y);
+                        if ddx * ddx + ddy * ddy <= r2 {
+                            edges.push((ids[i], ids[j]));
+                        }
                     }
                 }
             }
         }
     }
-    Graph::from_edges(n, edges)
+    edges
 }
 
 /// The connection radius for which a random geometric graph on the unit
@@ -125,6 +164,12 @@ mod tests {
         }
         let h = Graph::from_edges(n, brute).unwrap();
         assert_eq!(g, h);
+    }
+
+    #[test]
+    fn tiny_radius_keeps_the_grid_small() {
+        let g = random_geometric(100, 1e-300, 2).unwrap();
+        assert_eq!(g.m(), 0);
     }
 
     #[test]

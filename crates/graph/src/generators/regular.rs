@@ -4,10 +4,6 @@ use crate::error::GraphError;
 use crate::graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-// sleepy-lint: allow(no-hash-collections): membership-only dedup set in the hot
-// Steger–Wormald pairing loop — it is never iterated, so its order cannot reach an
-// artifact, and the O(1) probe matters at n*d/2 insertions per restart attempt.
-use std::collections::HashSet;
 
 /// Maximum number of full restarts before giving up.
 const MAX_ATTEMPTS: usize = 200;
@@ -69,9 +65,7 @@ fn try_incremental(n: usize, d: usize, rng: &mut SmallRng) -> Option<Vec<(NodeId
             stubs.push(v);
         }
     }
-    // sleepy-lint: allow(no-hash-collections): membership probes only (see import note);
-    // edge order is carried by the `edges` Vec below.
-    let mut present: HashSet<(NodeId, NodeId)> = HashSet::with_capacity(n * d / 2);
+    let mut present = Partners::new(n, d);
     let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(n * d / 2);
     while !stubs.is_empty() {
         // Randomized picks; fall back to an exhaustive scan before declaring
@@ -88,12 +82,11 @@ fn try_incremental(n: usize, d: usize, rng: &mut SmallRng) -> Option<Vec<(NodeId
             if u == v {
                 continue;
             }
-            let key = if u < v { (u, v) } else { (v, u) };
-            if present.contains(&key) {
+            if present.contains(u, v) {
                 continue;
             }
-            present.insert(key);
-            edges.push(key);
+            present.insert(u, v);
+            edges.push((u, v));
             // Remove the higher index first so the lower stays valid.
             let (hi, lo) = if i > j { (i, j) } else { (j, i) };
             stubs.swap_remove(hi);
@@ -110,18 +103,17 @@ fn try_incremental(n: usize, d: usize, rng: &mut SmallRng) -> Option<Vec<(NodeId
                         if u == v {
                             continue;
                         }
-                        let key = if u < v { (u, v) } else { (v, u) };
-                        if !present.contains(&key) {
-                            break 'scan Some((i, j, key));
+                        if !present.contains(u, v) {
+                            break 'scan Some((i, j, u, v));
                         }
                     }
                 }
                 None
             };
             match found {
-                Some((i, j, key)) => {
-                    present.insert(key);
-                    edges.push(key);
+                Some((i, j, u, v)) => {
+                    present.insert(u, v);
+                    edges.push((u, v));
                     stubs.swap_remove(j);
                     stubs.swap_remove(i);
                 }
@@ -130,6 +122,35 @@ fn try_incremental(n: usize, d: usize, rng: &mut SmallRng) -> Option<Vec<(NodeId
         }
     }
     Some(edges)
+}
+
+/// The partners each node has been paired with so far: at most `d` per
+/// node, kept in a flat `n·d` array and found by a linear scan.
+struct Partners {
+    d: usize,
+    len: Vec<usize>,
+    list: Vec<NodeId>,
+}
+
+impl Partners {
+    fn new(n: usize, d: usize) -> Self {
+        Partners { d, len: vec![0; n], list: vec![0; n * d] }
+    }
+
+    /// Whether `{u, v}` is already an edge; scans the shorter list.
+    fn contains(&self, u: NodeId, v: NodeId) -> bool {
+        let (a, b) = if self.len[u as usize] <= self.len[v as usize] { (u, v) } else { (v, u) };
+        let a = a as usize;
+        self.list[a * self.d..a * self.d + self.len[a]].contains(&b)
+    }
+
+    fn insert(&mut self, u: NodeId, v: NodeId) {
+        for (a, b) in [(u, v), (v, u)] {
+            let a = a as usize;
+            self.list[a * self.d + self.len[a]] = b;
+            self.len[a] += 1;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -43,11 +43,21 @@ impl Graph {
     /// Duplicate edges (in either orientation) are collapsed. Edge order does
     /// not affect the result.
     ///
+    /// Runs in O(n + m + Σ_v d(v) log d(v)) time for m input edges: one
+    /// validating pass counts degrees, both orientations are scattered into
+    /// place, and each neighbor list is sorted and deduplicated on its own.
+    /// Beyond the output CSR it holds only the collected input — a `Vec`
+    /// passed by value is reused in place — and no second m-sized copy.
+    ///
     /// # Errors
     ///
     /// * [`GraphError::TooManyNodes`] if `n` exceeds the `u32` index space.
     /// * [`GraphError::NodeOutOfRange`] if an endpoint is `>= n`.
     /// * [`GraphError::SelfLoop`] if an edge connects a node to itself.
+    ///
+    /// The first invalid edge in iteration order decides the error; within
+    /// one edge, `u` out of range comes before `v` out of range, and both
+    /// before a self loop. Edges after it are not consumed.
     pub fn from_edges<I>(n: usize, edges: I) -> Result<Self, GraphError>
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
@@ -55,50 +65,60 @@ impl Graph {
         if n > u32::MAX as usize {
             return Err(GraphError::TooManyNodes { n });
         }
-        let mut deg = vec![0usize; n];
-        let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-        for (u, v) in edges {
-            if u as usize >= n {
-                return Err(GraphError::NodeOutOfRange { node: u as u64, n });
-            }
-            if v as usize >= n {
-                return Err(GraphError::NodeOutOfRange { node: v as u64, n });
-            }
-            if u == v {
-                return Err(GraphError::SelfLoop { node: u });
-            }
-            let (a, b) = if u < v { (u, v) } else { (v, u) };
-            pairs.push((a, b));
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        for &(a, b) in &pairs {
-            deg[a as usize] += 1;
-            deg[b as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
+        // `offsets[v]` first counts the incidences of `v` (duplicates
+        // included), then becomes the inclusive prefix sum: the end of v's
+        // slot range in `adj`.
+        let mut offsets = vec![0usize; n + 1];
+        let edges = edges
+            .into_iter()
+            .map(|(u, v)| {
+                if u as usize >= n {
+                    return Err(GraphError::NodeOutOfRange { node: u as u64, n });
+                }
+                if v as usize >= n {
+                    return Err(GraphError::NodeOutOfRange { node: v as u64, n });
+                }
+                if u == v {
+                    return Err(GraphError::SelfLoop { node: u });
+                }
+                offsets[u as usize] += 1;
+                offsets[v as usize] += 1;
+                Ok((u, v))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let mut acc = 0usize;
-        offsets.push(0);
-        for &d in deg.iter().take(n) {
-            acc += d;
-            offsets.push(acc);
+        for slot in &mut offsets[..n] {
+            acc += *slot;
+            *slot = acc;
         }
+        offsets[n] = acc;
+        // Scatter both orientations, filling each range back to front from
+        // the last edge, so each list keeps input order (lists from sorted
+        // or row-major input arrive sorted). The cursors stop at each
+        // range's start, which makes `offsets` the CSR layout.
         let mut adj = vec![0 as NodeId; acc];
-        let mut cursor = offsets[..n].to_vec();
-        for &(a, b) in &pairs {
-            adj[cursor[a as usize]] = b;
-            cursor[a as usize] += 1;
-            adj[cursor[b as usize]] = a;
-            cursor[b as usize] += 1;
+        for (u, v) in edges.into_iter().rev() {
+            offsets[u as usize] -= 1;
+            adj[offsets[u as usize]] = v;
+            offsets[v as usize] -= 1;
+            adj[offsets[v as usize]] = u;
         }
-        // Each per-node slice is filled in ascending order of the partner id
-        // for the `a` side; the `b` side receives partners in ascending order
-        // of `a` as well because `pairs` is sorted by (a, b). Both sides are
-        // therefore already sorted, but we assert it in debug builds.
-        #[cfg(debug_assertions)]
+        // Sort and deduplicate each neighbor list, compacting leftwards.
+        let mut write = 0usize;
         for v in 0..n {
-            debug_assert!(adj[offsets[v]..offsets[v + 1]].windows(2).all(|w| w[0] < w[1]));
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            adj[start..end].sort_unstable();
+            offsets[v] = write;
+            for i in start..end {
+                if i == start || adj[i] != adj[i - 1] {
+                    adj[write] = adj[i];
+                    write += 1;
+                }
+            }
         }
+        offsets[n] = write;
+        adj.truncate(write);
+        adj.shrink_to_fit();
         Ok(Graph { n, offsets, adj })
     }
 
@@ -215,12 +235,10 @@ impl Graph {
                 orig.push(v as NodeId);
             }
         }
-        let mut edges = Vec::new();
-        for &(u, v) in self.edges().collect::<Vec<_>>().iter() {
-            if keep[u as usize] && keep[v as usize] {
-                edges.push((new_id[u as usize], new_id[v as usize]));
-            }
-        }
+        let edges = self
+            .edges()
+            .filter(|&(u, v)| keep[u as usize] && keep[v as usize])
+            .map(|(u, v)| (new_id[u as usize], new_id[v as usize]));
         let g = Graph::from_edges(orig.len(), edges).expect("induced subgraph edges are valid");
         (g, orig)
     }
@@ -288,6 +306,28 @@ mod tests {
             Graph::from_edges(3, [(0, 7)]).unwrap_err(),
             GraphError::NodeOutOfRange { node: 7, n: 3 }
         ));
+    }
+
+    #[test]
+    fn first_invalid_edge_decides_the_error() {
+        let err = |edges: &[(NodeId, NodeId)]| Graph::from_edges(3, edges.to_vec()).unwrap_err();
+        let out = |node| GraphError::NodeOutOfRange { node, n: 3 };
+        // Iteration order decides between edges.
+        assert_eq!(err(&[(0, 1), (1, 1), (0, 9)]), GraphError::SelfLoop { node: 1 });
+        assert_eq!(err(&[(1, 0), (0, 9), (2, 2)]), out(9));
+        // Within an edge: u out of range, then v, then a self loop.
+        assert_eq!(err(&[(7, 9)]), out(7));
+        assert_eq!(err(&[(1, 9)]), out(9));
+        assert_eq!(err(&[(5, 5)]), out(5));
+        // The node count is checked before any edge.
+        assert_eq!(
+            Graph::from_edges(u32::MAX as usize + 1, [(0, 0)]).unwrap_err(),
+            GraphError::TooManyNodes { n: u32::MAX as usize + 1 }
+        );
+        // Edges after the first invalid one are never pulled.
+        let tail = std::iter::repeat_with(|| -> (NodeId, NodeId) { panic!("read past the error") });
+        let edges = [(0, 1), (2, 2)].into_iter().chain(tail);
+        assert_eq!(Graph::from_edges(3, edges).unwrap_err(), GraphError::SelfLoop { node: 2 });
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use sleepy_graph::{generators, io, ops, Graph, NodeId};
+use std::collections::BTreeSet;
 
 fn arb_edge_list(max_n: usize) -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
     (1..max_n).prop_flat_map(|n| {
@@ -15,8 +16,49 @@ fn arb_edge_list(max_n: usize) -> impl Strategy<Value = (usize, Vec<(NodeId, Nod
     })
 }
 
+/// Edge lists that repeat some edges, in either orientation, and come in
+/// random order.
+fn arb_multi_edge_list(max_n: usize) -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
+    arb_edge_list(max_n).prop_flat_map(|(n, edges)| {
+        let k = edges.len();
+        let repeats = proptest::collection::vec((0..k.max(1), any::<bool>()), 0..k + 1);
+        let sort_keys = proptest::collection::vec(any::<u64>(), 2 * k..2 * k + 1);
+        (Just(n), Just(edges), repeats, sort_keys).prop_map(|(n, mut edges, repeats, keys)| {
+            if !edges.is_empty() {
+                for (i, flip) in repeats {
+                    let (u, v) = edges[i];
+                    edges.push(if flip { (v, u) } else { (u, v) });
+                }
+            }
+            let mut keyed: Vec<_> = keys.into_iter().zip(edges).collect();
+            keyed.sort_unstable();
+            (n, keyed.into_iter().map(|(_, e)| e).collect())
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn from_edges_matches_a_btreeset_model((n, edges) in arb_multi_edge_list(60)) {
+        let g = Graph::from_edges(n, edges.clone()).unwrap();
+        let model: BTreeSet<(NodeId, NodeId)> =
+            edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        let mut lists = vec![Vec::new(); n];
+        for &(u, v) in &model {
+            lists[u as usize].push(v);
+            lists[v as usize].push(u);
+        }
+        prop_assert_eq!(g.n(), n);
+        prop_assert_eq!(g.m(), model.len());
+        for v in g.node_ids() {
+            lists[v as usize].sort_unstable();
+            prop_assert_eq!(g.neighbors(v), &lists[v as usize][..]);
+        }
+        // The same edges through a non-`Vec` iterator give the same graph.
+        prop_assert_eq!(&g, &Graph::from_edges(n, edges.iter().rev().copied()).unwrap());
+    }
 
     #[test]
     fn construction_invariants((n, edges) in arb_edge_list(80)) {
