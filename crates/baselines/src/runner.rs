@@ -94,7 +94,7 @@ pub fn run_baseline(
 
 /// [`run_baseline`] with the engine streaming every protocol event into
 /// `sink` — the entry point for round-timeline recorders and schedule
-/// validators (`config.trace` flags are ignored on this path).
+/// validators.
 ///
 /// # Errors
 ///

@@ -39,7 +39,7 @@ use crate::schedule::Schedule;
 use sleepy_graph::{Graph, NodeId, Port};
 use sleepy_net::{
     run_protocol, run_protocol_taped, run_protocol_with_sink, Action, EngineConfig, Incoming,
-    MessageSize, NodeCtx, Outbox, Protocol, Round, RunMetrics, Tape, Trace, TraceSink,
+    MessageSize, NodeCtx, Outbox, Protocol, Round, RunMetrics, Tape, TraceSink,
 };
 
 /// Tri-state MIS status, as stored in `v.inMIS` by the paper's pseudocode.
@@ -578,8 +578,6 @@ pub struct MisRunResult {
     pub base_timeouts: Vec<NodeId>,
     /// Engine metrics (awake rounds, finish rounds, messages, …).
     pub metrics: RunMetrics,
-    /// Engine trace, if requested.
-    pub trace: Option<Trace>,
 }
 
 /// Runs SleepingMIS (Algorithm 1) or Fast-SleepingMIS (Algorithm 2) on
@@ -618,10 +616,10 @@ pub fn run_sleeping_mis(
 }
 
 /// [`run_sleeping_mis`] with the engine streaming every protocol event
-/// into `sink` instead of (or in addition to) buffering a [`Trace`] —
-/// the entry point for round-timeline recorders and schedule validators.
-/// The returned result's `trace` is always `None`; tee a
-/// [`TraceBuffer`](sleepy_net::TraceBuffer) into `sink` to keep one.
+/// into `sink` — the entry point for round-timeline recorders and
+/// schedule validators. Pass (or tee in) a
+/// [`TraceBuffer`](sleepy_net::TraceBuffer) to keep a
+/// [`Trace`](sleepy_net::Trace).
 ///
 /// # Errors
 ///
@@ -679,7 +677,7 @@ fn collect_mis(outcome: sleepy_net::RunOutcome<NodeOutput>) -> MisRunResult {
             base_timeouts.push(id as NodeId);
         }
     }
-    MisRunResult { in_mis, base_timeouts, metrics: outcome.metrics, trace: outcome.trace }
+    MisRunResult { in_mis, base_timeouts, metrics: outcome.metrics }
 }
 
 #[cfg(test)]

@@ -13,8 +13,7 @@
 //!
 //! Moments stream in O(1) memory ([`StreamingMoments`]); exact p50/p99
 //! additionally retain the raw per-trial values (8 bytes per trial per
-//! metric — fine at the thousands-of-trials scale; a later PR can swap
-//! in a quantile sketch).
+//! metric — fine at the thousands-of-trials scale).
 //!
 //! [`push`]: JobAggregate::push
 //! [`merge`]: JobAggregate::merge
@@ -22,18 +21,13 @@
 
 use crate::measure::{ComplexityReport, DynamicReport};
 use serde::{Deserialize, Serialize};
-use sleepy_stats::{PhaseSeries, QuantileSketch, StreamingMoments, Summary, UpdateSeries};
+use sleepy_stats::{PhaseSeries, StreamingMoments, Summary, UpdateSeries};
 
 /// A single metric's mergeable aggregate.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricAggregate {
     /// Streaming count/mean/M2/min/max.
     pub moments: StreamingMoments,
-    /// Mergeable approximate quantiles (O(log n) memory). Reports
-    /// still quote the exact sample-based p50/p99; the sketch is the
-    /// groundwork for dropping raw samples once plans reach millions
-    /// of trials — shard merges then ship sketches, not samples.
-    pub sketch: QuantileSketch,
     samples: Vec<f64>,
 }
 
@@ -46,7 +40,6 @@ impl MetricAggregate {
     /// Accumulates one observation.
     pub fn push(&mut self, x: f64) {
         self.moments.push(x);
-        self.sketch.push(x);
         self.samples.push(x);
     }
 
@@ -54,15 +47,7 @@ impl MetricAggregate {
     /// one's (callers merge in canonical shard order).
     pub fn merge(&mut self, other: &MetricAggregate) {
         self.moments.merge(&other.moments);
-        self.sketch.merge(&other.sketch);
         self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// The sketch-estimated p-th percentile — what reports will switch
-    /// to when raw samples are dropped at million-trial scale. Within
-    /// ~1% rank error of [`percentile`](Self::percentile).
-    pub fn approx_percentile(&self, p: f64) -> f64 {
-        self.sketch.percentile(p)
     }
 
     /// The retained samples, sorted ascending (one sort feeds every
@@ -393,30 +378,6 @@ mod tests {
                 < 1e-12
         );
         assert!(whole.valid_fraction() < 1.0);
-    }
-
-    #[test]
-    fn sketch_tracks_exact_percentiles() {
-        let mut whole = MetricAggregate::new();
-        for i in 0..5000u64 {
-            whole.push(((i * 37) % 1000) as f64);
-        }
-        assert_eq!(whole.sketch.count(), 5000);
-        // Shard-and-merge keeps the same estimates within sketch error.
-        let mut merged = MetricAggregate::new();
-        for chunk in 0..5 {
-            let mut shard = MetricAggregate::new();
-            for i in (chunk * 1000)..((chunk + 1) * 1000u64) {
-                shard.push(((i * 37) % 1000) as f64);
-            }
-            merged.merge(&shard);
-        }
-        assert_eq!(merged.sketch.count(), 5000);
-        for p in [50.0, 90.0, 99.0] {
-            // Values span 0..1000, so 2% rank error is ~20 in value.
-            assert!((whole.approx_percentile(p) - whole.percentile(p)).abs() <= 20.0, "p{p}");
-            assert!((merged.approx_percentile(p) - merged.percentile(p)).abs() <= 30.0, "p{p}");
-        }
     }
 
     #[test]

@@ -196,7 +196,8 @@ RECORD-TAPE OPTIONS:
     --n N             node count (default: 16)
     --seed S          trial seed: graph instance + algorithm coins
                       (default: 1)
-    --loss P          message-loss probability (default: 0)
+    --loss P          i.i.d. message-loss probability (default: 0); a
+                      nonzero P excludes the --fault-* plans below
     --loss-seed S     loss-process seed (default: 0)
     --fault-burst E,X,G,B
                       Gilbert–Elliott burst loss: enter/exit
@@ -1457,6 +1458,8 @@ fn run_record_tape() -> ExitCode {
     let mut seed = 1u64;
     let mut config = sleepy_net::EngineConfig::default();
     let mut out: Option<PathBuf> = None;
+    let mut loss = 0.0f64;
+    let mut iid_seed = 0u64;
     let mut fault_burst: Option<(f64, f64, f64, f64)> = None;
     let mut fault_seed = 0u64;
     let mut fault_crash: Vec<sleepy_net::CrashWindow> = Vec::new();
@@ -1485,16 +1488,14 @@ fn run_record_tape() -> ExitCode {
                     seed = parse_u64_maybe_hex(&v).ok_or(format!("bad --seed `{v}`"))?;
                 }
                 "--loss" => {
-                    config.loss_probability =
-                        value("--loss")?.parse().map_err(|_| "bad --loss value".to_string())?;
-                    if !(0.0..=1.0).contains(&config.loss_probability) {
+                    loss = value("--loss")?.parse().map_err(|_| "bad --loss value".to_string())?;
+                    if !(0.0..=1.0).contains(&loss) {
                         return Err("--loss must be in [0,1]".to_string());
                     }
                 }
                 "--loss-seed" => {
                     let v = value("--loss-seed")?;
-                    config.loss_seed =
-                        parse_u64_maybe_hex(&v).ok_or(format!("bad --loss-seed `{v}`"))?;
+                    iid_seed = parse_u64_maybe_hex(&v).ok_or(format!("bad --loss-seed `{v}`"))?;
                 }
                 "--max-rounds" => {
                     config.max_rounds = value("--max-rounds")?
@@ -1556,13 +1557,18 @@ fn run_record_tape() -> ExitCode {
     let Some(algo) = algo else {
         return fail("record-tape needs --algo (try --help)");
     };
-    let fault_kinds = usize::from(fault_burst.is_some())
+    let fault_kinds = usize::from(loss > 0.0)
+        + usize::from(fault_burst.is_some())
         + usize::from(!fault_crash.is_empty())
         + usize::from(!fault_partition.is_empty());
     if fault_kinds > 1 {
-        return fail("--fault-burst, --fault-crash and --fault-partition are mutually exclusive");
+        return fail(
+            "--loss, --fault-burst, --fault-crash and --fault-partition are mutually exclusive",
+        );
     }
-    if let Some((p_enter, p_exit, loss_good, loss_bad)) = fault_burst {
+    if loss > 0.0 {
+        config.fault = sleepy_net::FaultPlan::Iid { probability: loss, seed: iid_seed };
+    } else if let Some((p_enter, p_exit, loss_good, loss_bad)) = fault_burst {
         config.fault =
             sleepy_net::FaultPlan::Burst { p_enter, p_exit, loss_good, loss_bad, seed: fault_seed };
     } else if !fault_crash.is_empty() {

@@ -2,9 +2,11 @@
 //!
 //! The experiment harness that regenerates **every table and figure** of
 //! *"Sleeping is Efficient"* (PODC 2020), plus empirical validation of its
-//! lemmas and theorems. Each module is one experiment; each has a CLI
-//! binary (`table1`, `figure1`, `figure2`, `lemmas`, `theorems`,
-//! `corollary1`, `energy`, `all-experiments`).
+//! lemmas and theorems. Each module is one experiment with a CLI binary
+//! of the same name (`table1`, `figure1`, `figure2`, `lemmas`,
+//! `theorems`, `corollary1`, `energy`, `ablation`, `coloring`,
+//! `robustness`, `churn`, `awake_timeline`), plus `all_experiments`,
+//! which runs them in one go.
 //!
 //! | Experiment | Paper artifact | Module |
 //! |-----------|----------------|--------|

@@ -12,9 +12,8 @@
 //!
 //! Four fault processes are modeled:
 //!
-//! * [`FaultPlan::Iid`] — independent per-message loss, the original
-//!   `loss_probability` process, byte-identical to it for the same
-//!   probability and seed;
+//! * [`FaultPlan::Iid`] — independent per-message loss, one draw of a
+//!   seeded RNG per message;
 //! * [`FaultPlan::Burst`] — a two-state Gilbert–Elliott channel: a
 //!   hidden good/bad state flips with `p_enter`/`p_exit` per message and
 //!   each state has its own loss probability, producing correlated loss
@@ -31,7 +30,7 @@
 //! Lost messages are counted in
 //! [`NodeMetrics::messages_lost`](crate::NodeMetrics::messages_lost) and
 //! emit [`TraceEvent::MessageLost`](crate::TraceEvent::MessageLost) when
-//! message-level tracing is on, exactly like the original loss process.
+//! message-level tracing is on.
 
 use crate::Round;
 use serde::Value;
@@ -70,8 +69,10 @@ pub enum FaultPlan {
     /// No injected faults (the paper's reliable model).
     #[default]
     None,
-    /// Independent per-message loss. Byte-identical to the legacy
-    /// `loss_probability`/`loss_seed` fields for the same values.
+    /// Independent per-message loss: each message is lost with
+    /// `probability`, one draw of an RNG seeded with `seed` per message.
+    /// Tape headers written before fault plans existed carry this plan
+    /// in their legacy loss keys (see [`TapeHeader`](crate::TapeHeader)).
     Iid {
         /// Per-message loss probability in `[0, 1]`.
         probability: f64,

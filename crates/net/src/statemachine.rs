@@ -247,10 +247,6 @@ impl<'g> SleepyEngine<'g> {
     /// [`EngineOutput::Event`]s are generated (drivers pass their sink's
     /// [`wants_messages`](crate::TraceSink::wants_messages)); delivery
     /// outputs are always generated.
-    ///
-    /// `config.trace` / `config.trace_messages` are ignored here — they
-    /// configure [`run_protocol`](crate::run_protocol)'s implicit buffer
-    /// sink, not the core.
     pub fn new(graph: &'g Graph, config: &EngineConfig, messages: bool) -> Self {
         SleepyEngine::with_alarms(graph, config, messages, AlarmKind::default())
     }
@@ -269,7 +265,7 @@ impl<'g> SleepyEngine<'g> {
             graph,
             max_rounds: config.max_rounds,
             congest_bits: config.congest_bits,
-            fault: config.effective_fault().build(),
+            fault: config.fault.build(),
             messages,
             status: vec![Status::Awake; n],
             metrics: vec![NodeMetrics::default(); n],

@@ -21,8 +21,8 @@
 //!    the format version, a label/seed stamped by the recording tool,
 //!    the graph (`n` plus a canonical edge list — [`Graph::from_edges`]
 //!    rebuilds the identical CSR from it), and the engine knobs that
-//!    affect replay (`max_rounds`, `congest_bits`, the loss process,
-//!    and whether message-level events were generated);
+//!    affect replay (`max_rounds`, `congest_bits`, the fault plan, and
+//!    whether message-level events were generated);
 //! 2. one line per [`EngineInput`], in order;
 //! 3. an end line with the output count, the FNV-1a-64 digest of the
 //!    output stream (each output rendered as compact JSON plus a
@@ -90,15 +90,18 @@ pub struct TapeHeader {
     pub max_rounds: Round,
     /// [`EngineConfig::congest_bits`] at capture time.
     pub congest_bits: Option<usize>,
-    /// [`EngineConfig::loss_probability`] at capture time (exact: the
-    /// JSON rendering round-trips the f64 bit pattern).
+    /// Legacy spelling of an i.i.d. loss plan, kept as an on-disk key so
+    /// format-1 tapes stay byte-stable: tapes recorded before fault plans
+    /// existed carry their loss process here, and a nonzero value with no
+    /// `fault` key replays as [`FaultPlan::Iid`] (exact: the JSON
+    /// rendering round-trips the f64 bit pattern). The recorder writes
+    /// `0.0`.
     pub loss_probability: f64,
-    /// [`EngineConfig::loss_seed`] at capture time.
+    /// Seed of the legacy loss process; the recorder writes `0`.
     pub loss_seed: u64,
-    /// [`EngineConfig::fault`] at capture time — the generalized fault
-    /// plan. Serialized as an optional `fault` header key only when it
-    /// is not [`FaultPlan::None`], so fault-free tapes keep their exact
-    /// pre-fault byte layout.
+    /// [`EngineConfig::fault`] at capture time. Serialized as an optional
+    /// `fault` header key only when it is not [`FaultPlan::None`], so
+    /// fault-free tapes keep their exact pre-fault byte layout.
     pub fault: FaultPlan,
     /// Whether message-level events were generated (the recording
     /// sink's [`wants_messages`](crate::TraceSink::wants_messages)) —
@@ -107,17 +110,17 @@ pub struct TapeHeader {
 }
 
 impl TapeHeader {
-    /// The engine configuration a replay must run under.
+    /// The engine configuration a replay must run under. An explicit
+    /// `fault` key wins; otherwise a nonzero legacy loss pair is the
+    /// [`FaultPlan::Iid`] it was recorded as (same per-message decisions);
+    /// otherwise the run was fault-free.
     fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            max_rounds: self.max_rounds,
-            trace: false,
-            trace_messages: false,
-            congest_bits: self.congest_bits,
-            loss_probability: self.loss_probability,
-            loss_seed: self.loss_seed,
-            fault: self.fault.clone(),
-        }
+        let fault = if self.fault.is_none() && self.loss_probability > 0.0 {
+            FaultPlan::Iid { probability: self.loss_probability, seed: self.loss_seed }
+        } else {
+            self.fault.clone()
+        };
+        EngineConfig { max_rounds: self.max_rounds, congest_bits: self.congest_bits, fault }
     }
 
     /// Rebuilds the graph the tape was recorded on.
@@ -404,8 +407,8 @@ impl TapeRecorder {
                 edges: graph.edges().collect(),
                 max_rounds: config.max_rounds,
                 congest_bits: config.congest_bits,
-                loss_probability: config.loss_probability,
-                loss_seed: config.loss_seed,
+                loss_probability: 0.0,
+                loss_seed: 0,
                 fault: config.fault.clone(),
                 messages,
             },
@@ -599,7 +602,10 @@ mod tests {
 
     fn record() -> (Result<RunOutcome<u64>, EngineError>, Tape) {
         let g = Graph::from_edges(3, [(0, 1), (0, 2), (1, 2)]).unwrap();
-        let cfg = EngineConfig { loss_probability: 0.1, loss_seed: 5, ..EngineConfig::default() };
+        let cfg = EngineConfig {
+            fault: FaultPlan::Iid { probability: 0.1, seed: 5 },
+            ..EngineConfig::default()
+        };
         let mut buffer = TraceBuffer::new(true);
         run_protocol_taped(&g, &cfg, |id, _| Mixer { id, heard: 0 }, &mut buffer)
     }
@@ -730,17 +736,54 @@ mod tests {
         }
         // Fault-free recordings emit no `fault` key, and headers without
         // one (every pre-fault tape) still parse.
-        let (_, tape) = record();
+        let (_, tape) = run_protocol_taped(
+            &g,
+            &EngineConfig::default(),
+            |id, _| Mixer { id, heard: 0 },
+            &mut NullSink,
+        );
         let text = tape.to_jsonl();
         assert!(!text.contains("\"fault\""), "legacy layout preserved: {text}");
         assert_eq!(Tape::from_jsonl(&text).unwrap().header.fault, FaultPlan::None);
         // A malformed plan is a parse error, not a panic.
         let bad = text.replacen(
-            "\"loss_seed\":5",
-            "\"loss_seed\":5,\"fault\":{\"kind\":\"iid\",\"probability\":7.0,\"seed\":0}",
+            "\"loss_seed\":0",
+            "\"loss_seed\":0,\"fault\":{\"kind\":\"iid\",\"probability\":7.0,\"seed\":0}",
             1,
         );
         assert!(matches!(Tape::from_jsonl(&bad), Err(TapeError::Parse { line: 1, .. })));
+    }
+
+    /// The header's legacy loss keys are the one place the old spelling
+    /// of an i.i.d. plan survives: a nonzero pair with no `fault` key
+    /// replays as `FaultPlan::Iid`, an explicit `fault` key wins, and a
+    /// zero probability means no faults.
+    #[test]
+    fn legacy_loss_keys_become_an_iid_plan() {
+        let (_, tape) = record();
+        let plan = FaultPlan::Iid { probability: 0.1, seed: 5 };
+        assert_eq!(tape.header.fault, plan);
+        assert_eq!((tape.header.loss_probability, tape.header.loss_seed), (0.0, 0));
+        let header_with = |loss_probability, loss_seed, fault| TapeHeader {
+            loss_probability,
+            loss_seed,
+            fault,
+            ..tape.header.clone()
+        };
+        let legacy = header_with(0.1, 5, FaultPlan::None);
+        assert_eq!(legacy.engine_config().fault, plan);
+        let both = header_with(0.9, 999, FaultPlan::Iid { probability: 0.2, seed: 7 });
+        assert_eq!(both.engine_config().fault, FaultPlan::Iid { probability: 0.2, seed: 7 });
+        let zero = header_with(0.0, 5, FaultPlan::None);
+        assert_eq!(zero.engine_config().fault, FaultPlan::None);
+        // The legacy spelling replays the plan's recording decision for
+        // decision: same output count and digest.
+        let relabeled = Tape { header: legacy, ..tape.clone() };
+        let replay = replay_tape(&relabeled).unwrap();
+        assert_eq!(replay.outputs_fnv, tape.outputs_fnv);
+        assert_eq!(replay.output_count, tape.output_count);
+        let lost: u64 = replay.metrics.unwrap().per_node.iter().map(|m| m.messages_lost).sum();
+        assert!(lost > 0, "the recording exercises the loss process");
     }
 
     #[test]

@@ -84,7 +84,10 @@ fn corpus_covers_the_required_edge_cases() {
 fn fresh_recordings_survive_the_full_cycle() {
     // record → serialize → parse → replay, end to end in-process, for a
     // sleeping-model algorithm and a baseline (with loss).
-    let lossy = EngineConfig { loss_probability: 0.3, loss_seed: 5, ..EngineConfig::default() };
+    let lossy = EngineConfig {
+        fault: FaultPlan::Iid { probability: 0.3, seed: 5 },
+        ..EngineConfig::default()
+    };
     for (algo, config) in [
         (AlgoKind::FastSleepingMis, EngineConfig::default()),
         (AlgoKind::Baseline(sleepy_baselines::BaselineKind::LubyA), lossy),
@@ -97,4 +100,33 @@ fn fresh_recordings_survive_the_full_cycle() {
         let line = replay_text("fresh", &text).unwrap_or_else(|e| panic!("{algo}: {e}"));
         assert!(line.contains("OK"), "{algo}: {line}");
     }
+}
+
+/// The committed loss tape spells its loss process in the header's legacy
+/// keys (`loss_probability`/`loss_seed`, no `fault` key). Re-recording the
+/// same run under the equivalent `FaultPlan::Iid` must feed the engine the
+/// same inputs and reproduce the same output stream, so the legacy
+/// spelling and the plan make the same per-message decisions.
+#[test]
+fn legacy_loss_tape_matches_a_fresh_iid_recording() {
+    let (name, text) = corpus()
+        .into_iter()
+        .find(|(name, _)| name == "alg1_gnp12_loss.jsonl")
+        .expect("committed loss tape");
+    let committed = Tape::from_jsonl(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(
+        (committed.header.loss_probability, committed.header.loss_seed, &committed.header.fault),
+        (0.2, 11, &FaultPlan::None),
+        "{name} is no longer a legacy-spelled loss tape"
+    );
+    let config = EngineConfig {
+        fault: FaultPlan::Iid { probability: 0.2, seed: 11 },
+        ..EngineConfig::default()
+    };
+    let fresh = record_tape(AlgoKind::SleepingMis, GraphFamily::GnpAvgDeg(8.0), 12, 9, &config)
+        .expect("alg1 records");
+    assert_eq!(fresh.header.edges, committed.header.edges, "same graph instance");
+    assert_eq!(fresh.inputs, committed.inputs);
+    assert_eq!(fresh.output_count, committed.output_count);
+    assert_eq!(fresh.outputs_fnv, committed.outputs_fnv);
 }
